@@ -1,20 +1,19 @@
-// Probe plane: per-super-chunk routing-decision latency, sequential
-// per-node probing vs the batched scatter-gather round, for the two
-// probing schemes (Sigma and EMC stateful).
+// Probe plane: per-super-chunk routing-decision latency for the two
+// probing schemes (Sigma and EMC stateful), one row per transport.
 //
-// Sequential probing issues one blocking call per node per decision —
-// over a transport that is O(candidates) network round-trips before a
-// single super-chunk can be routed. The batched probe plane puts every
-// probe of the decision in flight at once (one fused match+usage RPC per
-// candidate, a usage RPC per remaining node) and drains them together:
-// ~1 round-trip per decision regardless of cluster width.
+// A routing decision's probe round is one scatter-gather: in direct mode
+// the nodes are queried in the routing thread; over a message transport
+// every probe of the decision is in flight at once (one fused match+usage
+// RPC per candidate, a usage RPC per remaining node) and drained together
+// — ~1 round-trip per decision regardless of cluster width.
 //
-// Default sweep: direct mode (in-thread loop vs thread-pool fan-out) and
-// the loopback message transport (blocking RPCs vs batched pending
-// calls). With
+// Default sweep: direct mode and the loopback message transport. With
 //   bench_fig_probe_latency --tcp host:port[:endpoint],...
-// it instead measures against node_server daemons over real sockets,
-// where the sequential path pays its round-trips on a real network stack.
+// it instead measures against node_server daemons over real sockets.
+// Each arm times at least kMinDecisions decisions, cycling through the
+// trace's super-chunks as often as needed, so the mean does not rest on
+// the handful of units a small-scale trace yields.
+#include <algorithm>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -26,6 +25,8 @@ namespace {
 
 using namespace sigma;
 namespace bench = sigma::bench;
+
+constexpr std::size_t kMinDecisions = 2000;
 
 /// The routing units of one trace, cut exactly as the cluster cuts them.
 std::vector<std::vector<ChunkRecord>> super_chunk_units(
@@ -44,25 +45,19 @@ std::vector<std::vector<ChunkRecord>> super_chunk_units(
   return units;
 }
 
-struct Measurement {
-  double mean_us = 0.0;
-  std::uint64_t decisions = 0;
-};
-
-/// Mean routing-decision latency of `scheme` against an already-populated
-/// cluster's probe plane (probes are read-only, so runs are repeatable).
-Measurement measure(Cluster& cluster, RoutingScheme scheme,
-                    const std::vector<std::vector<ChunkRecord>>& units) {
+/// Mean routing-decision latency (µs) of `scheme` over `decisions`
+/// decisions against an already-populated cluster's probe plane, cycling
+/// through `units` (probes are read-only, so repeats are repeatable).
+double measure(Cluster& cluster, RoutingScheme scheme,
+               const std::vector<std::vector<ChunkRecord>>& units,
+               std::size_t decisions) {
   const auto router = make_router(scheme, cluster.config().router);
   RouteContext ctx;
   Stopwatch timer;
-  for (const auto& unit : units) {
-    (void)router->route(unit, cluster.probe_set(), ctx);
+  for (std::size_t i = 0; i < decisions; ++i) {
+    (void)router->route(units[i % units.size()], cluster.probe_set(), ctx);
   }
-  Measurement m;
-  m.decisions = units.size();
-  m.mean_us = timer.seconds() * 1e6 / static_cast<double>(units.size());
-  return m;
+  return timer.seconds() * 1e6 / static_cast<double>(decisions);
 }
 
 }  // namespace
@@ -90,11 +85,11 @@ int main(int argc, char** argv) {
   const bool over_tcp = !tcp_nodes.empty();
 
   bench::print_header(
-      "Probe plane: routing-decision latency, sequential vs batched",
-      over_tcp ? "scatter-gather probes vs one blocking RPC per node, "
-                 "against TCP node_server daemons"
-               : "scatter-gather probes vs one blocking call per node, "
-                 "direct and loopback transports (8 nodes)");
+      "Probe plane: routing-decision latency",
+      over_tcp ? "one scatter-gather probe round per decision, against TCP "
+                 "node_server daemons"
+               : "one scatter-gather probe round per decision, direct and "
+                 "loopback transports (8 nodes)");
 
   LinuxWorkloadConfig wl = LinuxWorkloadConfig::scaled(0.2 * scale);
   wl.versions = 2;
@@ -104,64 +99,53 @@ int main(int argc, char** argv) {
       materialize_dataset("linux-probe-bench", gen.content(), *chunker);
   constexpr std::uint64_t kSuperChunkBytes = 256 * 1024;
   const auto units = super_chunk_units(trace, kSuperChunkBytes);
+  if (units.empty()) {
+    std::cerr << "bench_fig_probe_latency: trace has no super-chunks\n";
+    return 1;
+  }
+  const std::size_t decisions = std::max(units.size(), kMinDecisions);
 
   const std::vector<RoutingScheme> schemes{RoutingScheme::kSigma,
                                            RoutingScheme::kStateful};
 
-  TablePrinter table({"transport", "scheme", "probing", "decisions",
-                      "mean us/decision", "speedup"});
+  TablePrinter table(
+      {"transport", "scheme", "decisions", "mean us/decision"});
 
-  auto make_config = [&](TransportMode mode, bool batched) {
+  auto make_config = [&](TransportMode mode, RoutingScheme scheme) {
     ClusterConfig cfg;
+    cfg.scheme = scheme;
     cfg.super_chunk_bytes = kSuperChunkBytes;
-    cfg.transport.batched_probes = batched;
     cfg.transport.mode = mode;
     if (over_tcp) {
       cfg.num_nodes = tcp_nodes.size();
       cfg.transport.tcp_nodes = tcp_nodes;
     } else {
       cfg.num_nodes = 8;
-      if (mode == TransportMode::kDirect && batched) {
-        cfg.transport.probe_threads = 4;
-      }
     }
     return cfg;
   };
 
   bench::BenchResult result;
   result.name = "fig_probe_latency";
-  result.params["decisions"] = std::to_string(units.size());
+  result.params["units"] = std::to_string(units.size());
   result.params["super_chunk_bytes"] = std::to_string(kSuperChunkBytes);
   result.params["transport"] = over_tcp ? "tcp" : "local";
   result.params["nodes"] =
       std::to_string(over_tcp ? tcp_nodes.size() : std::size_t{8});
+  result.metrics["decisions"] = static_cast<double>(decisions);
 
   auto sweep = [&](TransportMode mode, const std::string& label) {
+    bool populated = false;
     for (RoutingScheme scheme : schemes) {
-      double seq_us = 0.0;
-      for (const bool batched : {false, true}) {
-        ClusterConfig cfg = make_config(mode, batched);
-        cfg.scheme = scheme;
-        Cluster cluster(cfg);
-        // Populate node state so probes hit non-trivial indexes. Remote
-        // daemons keep state across clusters: populate once, on the
-        // sequential pass.
-        if (!over_tcp || !batched) cluster.backup_dataset(trace);
-        const Measurement m = measure(cluster, scheme, units);
-        if (!batched) seq_us = m.mean_us;
-        const std::string key = label + "." + to_string(scheme) + "." +
-                                (batched ? "batched" : "sequential");
-        result.metrics[key + ".mean_us"] = m.mean_us;
-        if (batched) {
-          result.metrics[label + "." + to_string(scheme) + ".speedup"] =
-              seq_us / m.mean_us;
-        }
-        table.add_row(
-            {label, to_string(scheme), batched ? "batched" : "sequential",
-             std::to_string(m.decisions), TablePrinter::fmt(m.mean_us, 1),
-             batched ? TablePrinter::fmt(seq_us / m.mean_us, 2) + "x"
-                     : "1.00x"});
-      }
+      Cluster cluster(make_config(mode, scheme));
+      // Populate node state so probes hit non-trivial indexes. Remote
+      // daemons keep state across clusters: populate them once.
+      if (!over_tcp || !populated) cluster.backup_dataset(trace);
+      populated = true;
+      const double mean_us = measure(cluster, scheme, units, decisions);
+      result.metrics[label + "." + to_string(scheme) + ".mean_us"] = mean_us;
+      table.add_row({label, to_string(scheme), std::to_string(decisions),
+                     TablePrinter::fmt(mean_us, 1)});
     }
   };
 
@@ -172,11 +156,6 @@ int main(int argc, char** argv) {
     sweep(TransportMode::kLoopback, "loopback");
   }
   table.print(std::cout);
-
-  std::cout << "\n(sequential = one blocking probe per node per decision; "
-               "batched = the probe plane's single scatter-gather round "
-               "— over a transport, ~1 round-trip per decision instead of "
-               "O(nodes))\n";
   bench::emit_bench_json(result);
   return 0;
 }

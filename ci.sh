@@ -10,6 +10,14 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# The write pipeline and every other wait in the library are completion-
+# driven (condition variables woken by the event they wait for); a
+# sleep_for under src/ is a polling loop creeping back in.
+if grep -rn 'sleep_for' src/; then
+  echo "ci: sleep_for found under src/ — wait on a completion instead" >&2
+  exit 1
+fi
+
 cmake -B build -S .
 cmake --build build -j
 ctest --output-on-failure -j --test-dir build
@@ -40,7 +48,13 @@ for b in fig_probe_latency fig_transport_pipeline fig7_messages \
   SIGMA_BENCH_SCALE="${SIGMA_BENCH_SCALE:-0.05}" \
       SIGMA_BENCH_JSON_DIR="$BENCH_OUT" "./build/bench/bench_$b"
 done
-python3 scripts/check_bench_json.py "$BENCH_OUT/BENCH_fig_probe_latency.json"
+python3 scripts/check_bench_json.py \
+    --require-metric decisions \
+    --require-metric direct.Sigma-Dedupe.mean_us \
+    --require-metric direct.Stateful.mean_us \
+    --require-metric loopback.Sigma-Dedupe.mean_us \
+    --require-metric loopback.Stateful.mean_us \
+    "$BENCH_OUT/BENCH_fig_probe_latency.json"
 python3 scripts/check_bench_json.py "$BENCH_OUT/BENCH_fig7_messages.json"
 python3 scripts/check_bench_json.py \
     "$BENCH_OUT/BENCH_fig4a_client_throughput.json"

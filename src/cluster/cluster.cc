@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <stdexcept>
 #include <thread>
 
@@ -36,7 +35,7 @@ struct Cluster::TransportRuntime {
   std::vector<std::unique_ptr<service::NodeClient>> clients;
   std::chrono::milliseconds timeout;
   std::size_t pipeline_depth;
-  std::deque<net::PendingCall> in_flight;
+  std::vector<net::PendingCall> in_flight;
 
   /// Loopback runtime: in-process services over the local nodes.
   TransportRuntime(std::vector<std::unique_ptr<DedupNode>>& nodes,
@@ -107,43 +106,19 @@ struct Cluster::TransportRuntime {
     pool.reset();
   }
 
-  /// Block until fewer than `limit` writes are outstanding. Entries are
-  /// removed from the pipeline before their results are inspected, so a
-  /// failed write surfaces once and never wedges subsequent calls.
+  /// Block until fewer than `limit` writes are outstanding. A completion
+  /// on *any* node frees a slot, so the wait covers the whole set (one
+  /// slow node must not stall routing while other writes finish) and
+  /// sleeps until a response settles one. Entries leave the pipeline
+  /// before their results are inspected, so a failed write surfaces once
+  /// and never wedges subsequent calls. Past the deadline the oldest
+  /// entry's get() surfaces its timeout.
   void wait_capacity(std::size_t limit) {
-    // Reap writes already complete, in any order.
-    for (auto it = in_flight.begin(); it != in_flight.end();) {
-      if (it->done()) {
-        net::PendingCall call = std::move(*it);
-        it = in_flight.erase(it);
-        call.get(timeout);
-      } else {
-        ++it;
-      }
-    }
-    if (in_flight.size() < limit) return;
-    // At capacity: a completion on *any* node frees the slot, so poll the
-    // set rather than blocking on the oldest entry (one slow node must
-    // not stall routing while other writes finish). Past the deadline,
-    // fall through to the oldest entry's get() to surface its timeout.
     const auto deadline = std::chrono::steady_clock::now() + timeout;
-    while (in_flight.size() >= limit &&
-           std::chrono::steady_clock::now() < deadline) {
-      bool reaped = false;
-      for (auto it = in_flight.begin(); it != in_flight.end(); ++it) {
-        if (it->done()) {
-          net::PendingCall call = std::move(*it);
-          in_flight.erase(it);
-          call.get(timeout);
-          reaped = true;
-          break;
-        }
-      }
-      if (!reaped) std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
     while (in_flight.size() >= limit) {
-      net::PendingCall call = std::move(in_flight.front());
-      in_flight.pop_front();
+      const std::size_t i = rpc->wait_any(in_flight, deadline).value_or(0);
+      net::PendingCall call = std::move(in_flight[i]);
+      in_flight.erase(in_flight.begin() + static_cast<std::ptrdiff_t>(i));
       call.get(std::chrono::milliseconds(0));
     }
   }
@@ -281,36 +256,21 @@ Cluster::Cluster(const ClusterConfig& config)
     route_us_ = &config_.metrics->histogram("route.decision_us");
     route_probe_rounds_ = &config_.metrics->counter("route.probe_rounds");
     route_probe_msgs_ = &config_.metrics->counter("route.probe_messages");
-    // Batched and sequential decisions are separate series so an A/B of
-    // the scatter-gather plane shows up in one merged scrape.
-    route_decisions_ = &config_.metrics->counter(
-        config_.transport.batched_probes ? "route.decisions_batched"
-                                         : "route.decisions_sequential");
+    route_decisions_ = &config_.metrics->counter("route.decisions");
   }
-  views_.reserve(config_.num_nodes);
+  // The probe plane the routers gather through. Message modes put the
+  // round in flight as concurrent pending calls (one fused probe per
+  // candidate); direct mode queries the nodes in the routing thread.
   if (runtime_) {
-    for (const auto& c : runtime_->clients) views_.push_back(c.get());
-  } else {
-    for (const auto& n : nodes_) views_.push_back(n.get());
-  }
-  // The probe plane the routers gather through. Message modes batch the
-  // round as concurrent pending calls (one fused probe per candidate);
-  // the sequential fallback and direct mode go through the per-node
-  // views — optionally fanned across a dedicated pool in direct mode.
-  if (runtime_ && config_.transport.batched_probes) {
     std::vector<const service::NodeClient*> stubs;
     stubs.reserve(runtime_->clients.size());
     for (const auto& c : runtime_->clients) stubs.push_back(c.get());
     probe_plane_ = std::make_unique<service::ClientProbeSet>(
         std::move(stubs), runtime_->timeout);
   } else {
-    if (!runtime_ && config_.transport.batched_probes &&
-        config_.transport.probe_threads > 0) {
-      probe_pool_ =
-          std::make_unique<ThreadPool>(config_.transport.probe_threads);
-    }
-    probe_plane_ =
-        std::make_unique<DirectProbeSet>(views_, probe_pool_.get());
+    views_.reserve(nodes_.size());
+    for (const auto& n : nodes_) views_.push_back(n.get());
+    probe_plane_ = std::make_unique<DirectProbeSet>(views_);
   }
 }
 

@@ -20,16 +20,15 @@ using EndpointId = std::uint32_t;
 
 /// The wire operations of the node service protocol.
 enum class MessageType : std::uint8_t {
-  kResemblanceProbe,  // handprint -> match count (Algorithm 1 step 2)
-  kChunkProbe,        // sampled fingerprints -> match count (EMC stateful)
   kDuplicateTest,     // chunk fingerprints -> present/absent bitmap
   kWriteSuperChunk,   // chunks (+ unique payloads) -> write result
   kReadChunk,         // fingerprint -> payload (restore path)
   kStoredBytes,       // () -> physical bytes used (balance discount)
   kFlush,             // () -> () : seal open containers
   kRoutingProbe,      // kind + fingerprints -> {match count, stored bytes}
-                      // (fused scatter-gather probe: one message per
-                      // candidate per routing decision)
+                      // (Algorithm 1 step 2 / EMC stateful probe, fused
+                      // with the usage query: one message per candidate
+                      // per routing decision)
   kStatsSnapshot,     // () -> serialized obs::MetricsSnapshot (the
                       // daemon-wide metrics scrape fleet_stats drains)
   kTraceDump,         // () -> serialized obs::SpanDump (the flight-
@@ -65,7 +64,7 @@ inline constexpr std::uint8_t kMaxMessageKind =
     static_cast<std::uint8_t>(MessageKind::kError);
 
 struct Message {
-  MessageType type = MessageType::kResemblanceProbe;
+  MessageType type = MessageType::kDuplicateTest;
   MessageKind kind = MessageKind::kRequest;
   std::uint64_t correlation_id = 0;
   EndpointId src = 0;

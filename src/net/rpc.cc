@@ -128,6 +128,31 @@ std::vector<Buffer> RpcEndpoint::wait_all(std::vector<PendingCall>& calls,
   return results;
 }
 
+std::optional<std::size_t> RpcEndpoint::wait_any(
+    std::span<const PendingCall> calls,
+    std::chrono::steady_clock::time_point deadline) {
+  // Register before the first scan: a settle either lands before the
+  // scan (and the scan sees it) or sees waiters_ > 0 and notifies under
+  // mu_, which this thread holds until it sleeps — no wakeup is lost.
+  waiters_.fetch_add(1);
+  std::optional<std::size_t> settled;
+  {
+    MutexLock lock(mu_);
+    for (;;) {
+      for (std::size_t i = 0; i < calls.size(); ++i) {
+        if (calls[i].done()) {
+          settled = i;
+          break;
+        }
+      }
+      if (settled || std::chrono::steady_clock::now() >= deadline) break;
+      settled_cv_.wait_until(mu_, deadline);
+    }
+  }
+  waiters_.fetch_sub(1);
+  return settled;
+}
+
 void RpcEndpoint::set_request_handler(RequestHandler handler) {
   MutexLock lock(mu_);
   request_handler_ = std::move(handler);
@@ -187,6 +212,10 @@ void RpcEndpoint::on_message(Message&& m) {
     }
   }
   state->cv.notify_all();
+  if (waiters_.load() > 0) {
+    MutexLock lock(mu_);
+    settled_cv_.notify_all();
+  }
 }
 
 void RpcEndpoint::abandon(std::uint64_t correlation_id) {

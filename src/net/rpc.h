@@ -10,12 +10,18 @@
 // Timeouts are caller-driven: PendingCall::get(timeout) abandons the call
 // on expiry (the endpoint forgets it, a late response is counted and
 // dropped) and throws RpcTimeoutError.
+//
+// A caller holding several calls can sleep until whichever settles first
+// (`wait_any`) — the wait the write pipeline frees its slots with.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -61,17 +67,17 @@ class PendingCall {
   friend class RpcEndpoint;
 
   struct State {
-    // Never nested with the endpoint's mu_ (both sides release one before
-    // taking the other), but ranked after it so the checker would catch a
-    // regression that nests them the wrong way round.
+    // Taken under the endpoint's mu_ only by wait_any() (which polls
+    // done() while holding it); the settle path releases one before
+    // taking the other.
     Mutex mu{LockRank::kRpcCall};
     CondVar cv;
     bool done SIGMA_GUARDED_BY(mu) = false;
     bool error SIGMA_GUARDED_BY(mu) = false;
     Buffer body SIGMA_GUARDED_BY(mu);
     std::string error_text SIGMA_GUARDED_BY(mu);
-    MessageType type = MessageType::kResemblanceProbe;  // set before send
-    std::uint64_t correlation_id = 0;                   // set before send
+    MessageType type = MessageType::kDuplicateTest;  // set before send
+    std::uint64_t correlation_id = 0;                // set before send
     /// The call's span (child of the caller's current context), stamped
     /// onto the request; the span is recorded when the response settles.
     /// Written before the call is published in pending_, read after it is
@@ -116,6 +122,15 @@ class RpcEndpoint {
   static std::vector<Buffer> wait_all(std::vector<PendingCall>& calls,
                                       std::chrono::milliseconds timeout);
 
+  /// Sleep until any of `calls` (all issued on this endpoint) has settled
+  /// — answered, failed, or bounced — or `deadline` passes. Returns the
+  /// index of a settled call (the lowest, if several have), or nullopt at
+  /// the deadline. Woken by response delivery, not by polling. The calls
+  /// are left as they are: get() on the returned one does not block.
+  std::optional<std::size_t> wait_any(
+      std::span<const PendingCall> calls,
+      std::chrono::steady_clock::time_point deadline) SIGMA_EXCLUDES(mu_);
+
   /// Serve peer-initiated requests arriving at this endpoint (e.g. the
   /// registry's kFleetUpdate push): the handler returns the response
   /// body, or throws — the exception text becomes an error reply. Invoked
@@ -152,6 +167,10 @@ class RpcEndpoint {
   /// Copied out under mu_ and invoked unlocked (the handler may call back
   /// into this endpoint).
   RequestHandler request_handler_ SIGMA_GUARDED_BY(mu_);
+  /// wait_any() sleepers. A settle takes mu_ to notify settled_cv_ only
+  /// when this is non-zero, so responses nobody waits on cost no lock.
+  std::atomic<std::size_t> waiters_{0};
+  CondVar settled_cv_;
 };
 
 }  // namespace sigma::net

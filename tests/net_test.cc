@@ -1,10 +1,11 @@
 // Transport subsystem: wire codec round trips and robustness against
 // hostile bytes (TCP makes them reachable), channel ordering, loopback
-// delivery + accounting, RPC correlation under concurrent clients, and
-// timeout handling.
+// delivery + accounting, RPC correlation under concurrent clients,
+// timeout handling, and waiting on whichever of several calls settles.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -324,7 +325,7 @@ TEST(RpcTest, EchoRoundTrip) {
   RpcEndpoint rpc(transport);
 
   Buffer body{1, 2, 3, 4};
-  const Buffer reply = rpc.call_sync(echo.id(), MessageType::kChunkProbe,
+  const Buffer reply = rpc.call_sync(echo.id(), MessageType::kDuplicateTest,
                                      Buffer(body), 1000ms);
   EXPECT_EQ(reply, body);
   EXPECT_EQ(rpc.pending_count(), 0u);
@@ -338,7 +339,7 @@ TEST(RpcTest, BatchedAsyncCallsAllComplete) {
   std::vector<PendingCall> calls;
   for (std::uint8_t i = 0; i < 32; ++i) {
     calls.push_back(
-        rpc.call(echo.id(), MessageType::kChunkProbe, Buffer{i}));
+        rpc.call(echo.id(), MessageType::kDuplicateTest, Buffer{i}));
   }
   const auto results = RpcEndpoint::wait_all(calls, 1000ms);
   ASSERT_EQ(results.size(), 32u);
@@ -366,7 +367,7 @@ TEST(RpcTest, CorrelationUnderConcurrentClients) {
         w.u32(static_cast<std::uint32_t>(t * 1000000 + i));
         const Buffer body = w.take();
         const Buffer reply = rpc.call_sync(
-            echo.id(), MessageType::kChunkProbe, Buffer(body), 5000ms);
+            echo.id(), MessageType::kDuplicateTest, Buffer(body), 5000ms);
         if (reply != body) ++mismatches;
       }
     });
@@ -442,6 +443,108 @@ TEST(RpcTest, CallToUnknownEndpointFailsFast) {
   EXPECT_THROW(
       rpc.call_sync(999999, MessageType::kFlush, Buffer{}, 10000ms),
       RpcError);
+}
+
+// --- wait_any -----------------------------------------------------------------
+
+/// Parks every request it receives until the test answers it by hand.
+class ParkingService {
+ public:
+  explicit ParkingService(LoopbackTransport& transport)
+      : transport_(transport),
+        id_(transport.register_endpoint([this](Message&& m) {
+          std::lock_guard lock(mu_);
+          parked_.push_back(std::move(m));
+        })) {}
+  ~ParkingService() { transport_.unregister_endpoint(id_); }
+
+  EndpointId id() const { return id_; }
+
+  /// Take parked request `i` (in arrival order).
+  Message take(std::size_t i) {
+    std::lock_guard lock(mu_);
+    return std::move(parked_.at(i));
+  }
+
+ private:
+  LoopbackTransport& transport_;
+  std::mutex mu_;
+  std::vector<Message> parked_;
+  EndpointId id_;
+};
+
+TEST(RpcWaitAnyTest, ReturnsWhicheverCallSettlesFirstOutOfOrder) {
+  LoopbackTransport transport;
+  ParkingService parking(transport);
+  RpcEndpoint rpc(transport);
+
+  std::vector<PendingCall> calls;
+  for (std::uint8_t i = 0; i < 3; ++i) {
+    calls.push_back(rpc.call(parking.id(), MessageType::kFlush, Buffer{i}));
+  }
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+
+  // The last call is answered first, while the caller sleeps.
+  std::thread answer_last([&] {
+    std::this_thread::sleep_for(20ms);
+    const Message m = parking.take(2);
+    transport.send(Message::response_to(m, Buffer{m.body}));
+  });
+  EXPECT_EQ(rpc.wait_any(calls, deadline), std::optional<std::size_t>(2));
+  answer_last.join();
+  EXPECT_EQ(calls[2].get(0ms), Buffer{2});
+  calls.erase(calls.begin() + 2);
+
+  std::thread answer_first([&] {
+    std::this_thread::sleep_for(20ms);
+    const Message m = parking.take(0);
+    transport.send(Message::response_to(m, Buffer{m.body}));
+  });
+  EXPECT_EQ(rpc.wait_any(calls, deadline), std::optional<std::size_t>(0));
+  answer_first.join();
+  EXPECT_EQ(calls[0].get(0ms), Buffer{0});
+  EXPECT_FALSE(calls[1].done());
+  EXPECT_LT(std::chrono::steady_clock::now(), deadline);
+}
+
+TEST(RpcWaitAnyTest, ReturnsNoneAtDeadlineWhenNothingSettles) {
+  LoopbackTransport transport;
+  ParkingService parking(transport);
+  RpcEndpoint rpc(transport);
+
+  std::vector<PendingCall> calls{
+      rpc.call(parking.id(), MessageType::kFlush, Buffer{}),
+      rpc.call(parking.id(), MessageType::kFlush, Buffer{})};
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(rpc.wait_any(calls, start + 30ms), std::nullopt);
+  EXPECT_GE(std::chrono::steady_clock::now() - start, 30ms);
+  // An empty set and a past deadline return at once.
+  EXPECT_EQ(rpc.wait_any({}, start), std::nullopt);
+  EXPECT_EQ(rpc.wait_any(calls, start), std::nullopt);
+}
+
+TEST(RpcWaitAnyTest, WakesForCallBouncedByUnknownEndpoint) {
+  LoopbackTransport transport;
+  ParkingService parking(transport);
+  RpcEndpoint rpc(transport);
+
+  std::vector<PendingCall> calls{
+      rpc.call(parking.id(), MessageType::kFlush, Buffer{}),
+      rpc.call(parking.id(), MessageType::kFlush, Buffer{})};
+  // Re-address the second request to an endpoint nobody holds: the
+  // transport bounces it back to the caller as an error.
+  std::thread forward([&] {
+    std::this_thread::sleep_for(20ms);
+    Message m = parking.take(1);
+    m.dst = 999999;
+    transport.send(std::move(m));
+  });
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  EXPECT_EQ(rpc.wait_any(calls, deadline), std::optional<std::size_t>(1));
+  forward.join();
+  EXPECT_LT(std::chrono::steady_clock::now(), deadline);
+  EXPECT_THROW(calls[1].get(0ms), RpcError);
+  EXPECT_FALSE(calls[0].done());
 }
 
 }  // namespace

@@ -47,6 +47,20 @@ class ServiceFixture : public ::testing::Test {
         rpc_(transport_),
         client_(rpc_, service_.endpoint(), 5000ms) {}
 
+  /// The node's stored bytes over the wire (kStoredBytes).
+  std::uint64_t remote_stored_bytes() {
+    const Buffer body = client_.stored_bytes_async().get(5000ms);
+    return service::decode_u64(ByteView{body.data(), body.size()});
+  }
+
+  /// One fused routing probe (kRoutingProbe), answered.
+  service::RoutingProbeReply routing_probe(
+      ProbeKind kind, const std::vector<Fingerprint>& fps) {
+    const Buffer body = client_.routing_probe_async(kind, fps).get(5000ms);
+    return service::decode_routing_probe_reply(
+        ByteView{body.data(), body.size()});
+  }
+
   DedupNode node_;
   net::LoopbackTransport transport_;
   ThreadPool pool_;
@@ -160,20 +174,20 @@ TEST_F(ServiceFixture, FusedRoutingProbeMatchesDirectCalls) {
 }
 
 TEST_F(ServiceFixture, ProbesMatchDirectCalls) {
+  // Both probe ops a routing round sends — the fused probe to candidates
+  // and kStoredBytes to the other nodes — agree with the node's own
+  // answers, before and after a write.
   const SuperChunk sc = make_super_chunk(0, 64);
-  node_.write_super_chunk(0, sc);
-
   const Handprint hp = compute_handprint(sc.chunks, 8);
-  EXPECT_EQ(client_.resemblance_count(hp), node_.resemblance_count(hp));
-  EXPECT_GT(client_.resemblance_count(hp), 0u);
+  EXPECT_EQ(routing_probe(ProbeKind::kResemblance, hp).matches, 0u);
+  EXPECT_EQ(remote_stored_bytes(), 0u);
 
-  std::vector<Fingerprint> fps;
-  for (const auto& c : sc.chunks) fps.push_back(c.fp);
-  fps.push_back(rec(777777).fp);  // one absent
-  EXPECT_EQ(client_.chunk_match_count(fps), node_.chunk_match_count(fps));
-  EXPECT_EQ(client_.chunk_match_count(fps), 64u);
-
-  EXPECT_EQ(client_.stored_bytes(), node_.stored_bytes());
+  node_.write_super_chunk(0, sc);
+  const auto reply = routing_probe(ProbeKind::kResemblance, hp);
+  EXPECT_EQ(reply.matches, node_.resemblance_count(hp));
+  EXPECT_GT(reply.matches, 0u);
+  EXPECT_EQ(remote_stored_bytes(), node_.stored_bytes());
+  EXPECT_EQ(reply.stored_bytes, remote_stored_bytes());
 }
 
 TEST_F(ServiceFixture, DuplicateTestBitmapIsExact) {
@@ -273,26 +287,26 @@ TEST_F(ServiceFixture, MalformedRequestYieldsErrorNotCrash) {
                               service::encode_write_request(req), 5000ms),
                net::RpcError);
   // The service survives and keeps serving.
-  EXPECT_EQ(client_.stored_bytes(), 0u);
+  EXPECT_EQ(remote_stored_bytes(), 0u);
   EXPECT_GT(service_.stats().errors_returned, 0u);
 }
 
 TEST_F(ServiceFixture, GarbageBodyYieldsErrorNotCrash) {
   EXPECT_THROW(rpc_.call_sync(service_.endpoint(),
-                              net::MessageType::kResemblanceProbe,
+                              net::MessageType::kRoutingProbe,
                               Buffer{0xFF, 0xFF}, 5000ms),
                net::RpcError);
-  EXPECT_EQ(client_.stored_bytes(), 0u);
+  EXPECT_EQ(remote_stored_bytes(), 0u);
 }
 
 // --- Probe fast lane ----------------------------------------------------------
 
 TEST_F(ServiceFixture, RequestsAreClassifiedIntoLanes) {
+  const Handprint hp = compute_handprint(make_super_chunk(0, 8).chunks, 4);
   client_.write_super_chunk(0, make_super_chunk(0, 8));  // write lane
-  client_.stored_bytes();                                // fast lane
+  remote_stored_bytes();                                 // fast lane
   client_.test_duplicates({rec(1).fp});                  // fast lane
-  client_.resemblance_count(compute_handprint(
-      make_super_chunk(0, 8).chunks, 4));                // fast lane
+  routing_probe(ProbeKind::kResemblance, hp);            // fast lane
   client_.flush();                                       // write lane
 
   const auto stats = service_.stats();
@@ -320,7 +334,7 @@ TEST_F(ServiceFixture, ProbeOvertakesQueuedWriteBacklog) {
                                service::encode_write_request(req)));
   }
 
-  (void)client_.stored_bytes();  // probe lands mid-backlog
+  (void)remote_stored_bytes();  // probe lands mid-backlog
 
   std::size_t writes_pending = 0;
   for (auto& w : writes) {
@@ -345,13 +359,13 @@ TEST_F(ServiceFixture, ConcurrentProbesAndWritesStayConsistent) {
   });
   std::uint64_t last = 0;
   for (int i = 0; i < 200; ++i) {
-    const std::uint64_t now = client_.stored_bytes();
+    const std::uint64_t now = remote_stored_bytes();
     EXPECT_GE(now, last);  // stores only grow
     last = now;
   }
   writer.join();
   EXPECT_EQ(node_.stats().super_chunks, static_cast<std::uint64_t>(kWrites));
-  EXPECT_EQ(client_.stored_bytes(), node_.stored_bytes());
+  EXPECT_EQ(remote_stored_bytes(), node_.stored_bytes());
 }
 
 // --- Scatter-gather probe plane over the service stack ------------------------

@@ -109,11 +109,7 @@ TEST_P(TcpSchemeIdentity, TcpReportEqualsDirectReport) {
   // Real sockets must reproduce the direct-call report bit-identically,
   // Fig. 7 probe counts included — at every reactor-shard count: sharding
   // the event plane repartitions connections across threads but must
-  // never reorder, drop or duplicate a frame within one connection. At 1
-  // reactor both probe modes are exercised — batched scatter-gather (the
-  // default: all probe RPCs of a routing decision in flight together) and
-  // the sequential per-node fallback; the sharded counts keep the
-  // default.
+  // never reorder, drop or duplicate a frame within one connection.
   const auto [scheme, reactors] = GetParam();
   const Dataset trace = small_linux_trace();
 
@@ -122,32 +118,25 @@ TEST_P(TcpSchemeIdentity, TcpReportEqualsDirectReport) {
   direct.flush();
   const auto d = direct.report();
 
-  const std::vector<bool> probe_modes =
-      reactors == 1 ? std::vector<bool>{true, false}
-                    : std::vector<bool>{true};
-  for (const bool batched : probe_modes) {
-    TcpFleet fleet(2, 2, reactors);  // fresh daemons: node state is remote
-    ClusterConfig cfg = tcp_config(scheme, fleet);
-    cfg.transport.batched_probes = batched;
-    Cluster over_tcp(cfg);
-    over_tcp.backup_dataset(trace);
-    over_tcp.flush();
+  TcpFleet fleet(2, 2, reactors);  // fresh daemons: node state is remote
+  Cluster over_tcp(tcp_config(scheme, fleet));
+  over_tcp.backup_dataset(trace);
+  over_tcp.flush();
 
-    EXPECT_TRUE(over_tcp.transport_backed());
+  EXPECT_TRUE(over_tcp.transport_backed());
 
-    const auto t = over_tcp.report();
-    EXPECT_EQ(d.logical_bytes, t.logical_bytes);
-    EXPECT_EQ(d.physical_bytes, t.physical_bytes);
-    EXPECT_EQ(d.node_usage, t.node_usage);
-    EXPECT_EQ(d.messages.pre_routing, t.messages.pre_routing);
-    EXPECT_EQ(d.messages.after_routing, t.messages.after_routing);
-    EXPECT_DOUBLE_EQ(d.dedup_ratio(), t.dedup_ratio());
+  const auto t = over_tcp.report();
+  EXPECT_EQ(d.logical_bytes, t.logical_bytes);
+  EXPECT_EQ(d.physical_bytes, t.physical_bytes);
+  EXPECT_EQ(d.node_usage, t.node_usage);
+  EXPECT_EQ(d.messages.pre_routing, t.messages.pre_routing);
+  EXPECT_EQ(d.messages.after_routing, t.messages.after_routing);
+  EXPECT_DOUBLE_EQ(d.dedup_ratio(), t.dedup_ratio());
 
-    // The traffic really crossed sockets.
-    const auto net = over_tcp.net_stats();
-    EXPECT_GT(net.messages_sent, 0u);
-    EXPECT_GT(net.bytes_sent, 0u);
-  }
+  // The traffic really crossed sockets.
+  const auto net = over_tcp.net_stats();
+  EXPECT_GT(net.messages_sent, 0u);
+  EXPECT_GT(net.bytes_sent, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -202,7 +202,7 @@ TEST(TcpTransportTest, EchoRoundTripOverSockets) {
   TcpPair pair;
   RpcEndpoint rpc(*pair.client);
   const Buffer body{1, 2, 3, 4, 5};
-  const Buffer reply = rpc.call_sync(pair.echo_id, MessageType::kChunkProbe,
+  const Buffer reply = rpc.call_sync(pair.echo_id, MessageType::kDuplicateTest,
                                      Buffer(body), 5000ms);
   EXPECT_EQ(reply, body);
   EXPECT_GT(pair.client->tcp_stats().connections_established, 0u);
@@ -237,7 +237,7 @@ TEST(TcpTransportTest, CorrelationUnderConcurrentClientThreads) {
         w.u64(static_cast<std::uint64_t>(t) * 1000003 + i);
         const Buffer body = w.take();
         const Buffer reply = rpc.call_sync(
-            pair.echo_id, MessageType::kChunkProbe, Buffer(body), 10000ms);
+            pair.echo_id, MessageType::kDuplicateTest, Buffer(body), 10000ms);
         if (reply != body) ++mismatches;
       }
     });

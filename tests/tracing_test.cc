@@ -579,10 +579,10 @@ TEST(TraceRenderTest, ChromeJsonCarriesProcessesAndIds) {
 
 // --- Handshake version gate --------------------------------------------------
 
-TEST(TraceHandshakeTest, ProtocolV3PeerIsRefusedAtHello) {
-  // The trace block bumped the protocol to v4; a v3 peer (pre-flags
-  // framing) must be refused at HELLO, never fed a frame it would
-  // misparse.
+/// Connects to a fresh daemon, sends a HELLO claiming protocol `version`
+/// and expects the server to drop the connection after at most its own
+/// HELLO, counting one handshake failure.
+void expect_refused_at_hello(std::uint8_t version) {
   server::NodeServerConfig cfg;
   cfg.listen = {"127.0.0.1", 0};
   cfg.num_nodes = 1;
@@ -599,8 +599,7 @@ TEST(TraceHandshakeTest, ProtocolV3PeerIsRefusedAtHello) {
 
   Buffer hello = net::encode_hello({net::PeerRole::kClient});
   ASSERT_EQ(hello[4], net::kProtocolVersion);
-  ASSERT_EQ(net::kProtocolVersion, 5);
-  hello[4] = 3;
+  hello[4] = version;
   ASSERT_EQ(::send(fd, hello.data(), hello.size(), 0),
             static_cast<ssize_t>(hello.size()));
 
@@ -619,12 +618,27 @@ TEST(TraceHandshakeTest, ProtocolV3PeerIsRefusedAtHello) {
     received += static_cast<std::size_t>(n);
   }
   ::close(fd);
-  EXPECT_TRUE(closed) << "server kept a v3 connection open";
+  EXPECT_TRUE(closed) << "server kept a v" << int{version}
+                      << " connection open";
   EXPECT_LE(received, net::Hello::kWireBytes);
 
   const MetricsSnapshot snap = server.metrics_snapshot();
   ASSERT_NE(snap.find_counter("tcp.handshake_failures"), nullptr);
   EXPECT_EQ(*snap.find_counter("tcp.handshake_failures"), 1u);
+}
+
+TEST(TraceHandshakeTest, ProtocolV3PeerIsRefusedAtHello) {
+  // The trace block bumped the protocol to v4; a v3 peer (pre-flags
+  // framing) must be refused at HELLO, never fed a frame it would
+  // misparse.
+  expect_refused_at_hello(3);
+}
+
+TEST(TraceHandshakeTest, ProtocolV5PeerIsRefusedAtHello) {
+  // v6 dropped the two unfused probe ops, shifting every op byte: a v5
+  // peer would read each frame as a different operation.
+  ASSERT_EQ(net::kProtocolVersion, 6);
+  expect_refused_at_hello(5);
 }
 
 }  // namespace

@@ -6,9 +6,15 @@
 // stay correct (restores, totals) at deeper pipelines.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <stdexcept>
+
 #include "cluster/cluster.h"
+#include "common/hash_util.h"
 #include "common/random.h"
 #include "core/sigma_dedupe.h"
+#include "net/rpc.h"
+#include "storage/backend.h"
 #include "workload/generators.h"
 
 namespace sigma {
@@ -69,37 +75,6 @@ TEST_P(SchemeIdentity, TransportReportEqualsDirectReport) {
   EXPECT_EQ(direct.net_stats().messages_sent, 0u);
 }
 
-TEST_P(SchemeIdentity, BatchedProbesMatchSequentialProbes) {
-  // The scatter-gather probe plane must not move a single routing
-  // decision: batched probing (the default) and the sequential
-  // one-call-per-node fallback produce bit-identical reports — dedup
-  // ratio, per-node usage, Fig. 7 probe-message counts — in direct mode
-  // (thread-pool fan-out vs in-thread loop) and in loopback message mode
-  // (concurrent pending calls vs blocking per-node RPCs).
-  const RoutingScheme scheme = GetParam();
-  const Dataset trace = small_linux_trace();
-
-  auto run = [&](TransportMode mode, bool batched,
-                 std::size_t probe_threads) {
-    ClusterConfig cfg = cluster_config(scheme, 4, mode);
-    cfg.transport.batched_probes = batched;
-    cfg.transport.probe_threads = probe_threads;
-    Cluster cluster(cfg);
-    cluster.backup_dataset(trace);
-    cluster.flush();
-    return cluster.report();
-  };
-
-  const ClusterReport direct_seq = run(TransportMode::kDirect, false, 0);
-  const ClusterReport direct_fan = run(TransportMode::kDirect, true, 4);
-  const ClusterReport loop_seq = run(TransportMode::kLoopback, false, 0);
-  const ClusterReport loop_batched = run(TransportMode::kLoopback, true, 0);
-
-  expect_identical_reports(direct_seq, direct_fan);
-  expect_identical_reports(direct_seq, loop_seq);
-  expect_identical_reports(direct_seq, loop_batched);
-}
-
 INSTANTIATE_TEST_SUITE_P(AllSchemes, SchemeIdentity,
                          ::testing::Values(RoutingScheme::kSigma,
                                            RoutingScheme::kStateless,
@@ -131,6 +106,85 @@ TEST(TransportClusterTest, DeepPipelinePreservesTotalsAndDedup) {
   EXPECT_NEAR(static_cast<double>(p.physical_bytes),
               static_cast<double>(d.physical_bytes),
               0.05 * static_cast<double>(d.physical_bytes));
+}
+
+/// In-memory node storage whose puts fail while `failing` is set — a
+/// disk that refuses writes but still serves reads.
+class PutFailingBackend final : public StorageBackend {
+ public:
+  explicit PutFailingBackend(const std::atomic<bool>& failing)
+      : failing_(failing) {}
+
+  void put(const std::string& key, ByteView data) override {
+    if (failing_.load()) throw std::runtime_error("injected put failure");
+    inner_.put(key, data);
+  }
+  std::optional<Buffer> get(const std::string& key) override {
+    return inner_.get(key);
+  }
+  bool exists(const std::string& key) override { return inner_.exists(key); }
+  void remove(const std::string& key) override { inner_.remove(key); }
+  std::vector<std::string> keys() override { return inner_.keys(); }
+
+ private:
+  const std::atomic<bool>& failing_;
+  MemoryBackend inner_;
+};
+
+TEST(TransportClusterTest, FailedPipelinedWriteSurfacesOnceAndPipelineRecovers) {
+  // One node behind a loopback service, depth-4 pipeline. While its
+  // storage refuses puts, the next container seal fails on the node and
+  // the write comes back as an error reply. That error must surface from
+  // exactly one later call (the write leaves the pipeline before its
+  // result is read), and once storage recovers the next placement and
+  // flush() must succeed.
+  std::atomic<bool> failing{false};
+  ClusterConfig cfg = cluster_config(RoutingScheme::kSigma, 1,
+                                     TransportMode::kLoopback, 4);
+  cfg.node.container_capacity_bytes = 64 * 1024;
+  cfg.backend_factory = [&](NodeId) {
+    return std::make_unique<PutFailingBackend>(failing);
+  };
+  Cluster cluster(cfg);
+
+  auto unit = [](std::uint64_t first) {
+    SuperChunk sc;
+    for (std::uint64_t i = 0; i < 32; ++i) {  // 128 KB: seals a container
+      sc.chunks.push_back({Fingerprint::from_uint64(mix64(first + i)), 4096});
+    }
+    return sc;
+  };
+  const SuperChunk stored = unit(0);
+  cluster.place_super_chunk(stored, 0);
+  cluster.flush();
+
+  failing.store(true);
+  cluster.place_super_chunk(unit(1000), 0);  // its seal will fail
+
+  // All-duplicate placements append nothing, so they never put; they
+  // only push the failed write out of the pipeline.
+  int errors = 0;
+  int placements = 0;
+  while (errors == 0 && placements < 64) {
+    ++placements;
+    try {
+      cluster.place_super_chunk(stored, 0);
+    } catch (const net::RpcTimeoutError&) {
+      FAIL() << "failed write surfaced as a timeout";
+    } catch (const net::RpcError& e) {
+      EXPECT_NE(std::string(e.what()).find("injected put failure"),
+                std::string::npos);
+      ++errors;
+    }
+  }
+  EXPECT_EQ(errors, 1);
+  EXPECT_LE(placements, 8);  // surfaces once the pipeline is full
+
+  failing.store(false);
+  EXPECT_NO_THROW(cluster.place_super_chunk(unit(2000), 0));
+  EXPECT_NO_THROW(cluster.place_super_chunk(stored, 0));
+  EXPECT_NO_THROW(cluster.flush());
+  EXPECT_GT(cluster.report().physical_bytes, 0u);
 }
 
 }  // namespace
